@@ -36,13 +36,19 @@ re-derived on the next query. These benches pin that contract down:
   by an events/sec floor (``REPRO_BENCH_FLEET_BATCHED_FLOOR``) set at
   4x the unbatched supervised floor, end state still bit-identical to
   the in-process oracle.
+- ``test_fleet_bounded_respawn`` — a worker SIGKILLed mid-feed respawns
+  from its heartbeat snapshot: guarded by the median respawn time and
+  asserted by count — the journal events it replays are at most those
+  admitted since the adopted snapshot plus one frame.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import tempfile
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +315,110 @@ def test_fleet_supervised_workers(benchmark):
         f"{SUPERVISED_WORKERS} workers (floor {floor:g}/s, override with "
         f"$REPRO_BENCH_FLEET_WORKERS_FLOOR)"
     )
+
+
+# -- bounded respawn from heartbeat snapshots ----------------------------------
+
+BOUNDED_EVENTS = 6000
+#: Events fed before a snapshot covering all of them is awaited, then
+#: the events fed after it (the tail) before the SIGKILL.
+BOUNDED_SNAPSHOT_AT = 4000
+BOUNDED_KILL_AT = 5000
+BOUNDED_VICTIM = 1
+BOUNDED_FRAME = 32
+
+
+def test_fleet_bounded_respawn(benchmark):
+    """SIGKILL a worker mid-feed: the respawn replays only the tail.
+
+    Runs before the 1M-app bench, whose fleet stays resident: a fork
+    copies the parent's page tables, so the timed respawn would
+    otherwise measure that fleet's size.
+
+    Guarded by the median of the timed respawn — detection, fork,
+    snapshot load and hash check, tail replay, verification — and
+    asserted by count, deterministically: ``replay_events`` is at most
+    the victim's events admitted since its adopted snapshot plus one
+    frame, and below its whole history. After each respawn the rest of
+    the feed goes through and the end state must match the in-process
+    oracle bit for bit.
+    """
+    from repro.experiments.journal import EventLog
+    from repro.fleet import SupervisedFleetService, synthetic_feed
+    from repro.fleet.supervisor import SupervisorPolicy
+
+    events = list(
+        synthetic_feed(seed=73, events=BOUNDED_EVENTS, machines=SUPERVISED_MACHINES)
+    )
+    oracle = FleetService(
+        machines=SUPERVISED_MACHINES,
+        num_shards=SUPERVISED_WORKERS,
+        admission=_unmetered_admission(),
+    )
+    for event in events:
+        oracle.apply(event)
+    expected = oracle.state_hash()
+    opened: list[tuple[SupervisedFleetService, tempfile.TemporaryDirectory]] = []
+    outcomes: list[tuple[bool, int, int, dict]] = []
+
+    def setup() -> tuple[tuple, dict]:
+        tmp = tempfile.TemporaryDirectory()
+        service = SupervisedFleetService(
+            machines=SUPERVISED_MACHINES,
+            num_shards=SUPERVISED_WORKERS,
+            admission=_unmetered_admission(),
+            log=EventLog(Path(tmp.name) / "bench.jsonl", sync=False),
+            supervisor=SupervisorPolicy(batch_size=BOUNDED_FRAME, heartbeat_interval=0.1),
+        )
+        opened.append((service, tmp))
+        for event in events[:BOUNDED_SNAPSHOT_AT]:
+            service.apply(event)
+        deadline = time.monotonic() + 60.0
+        while True:
+            assert service.await_recovery(timeout=60.0)
+            snapshot = service.worker_snapshot(BOUNDED_VICTIM)
+            if (
+                snapshot is not None
+                and snapshot.count == service._stream_count[BOUNDED_VICTIM]
+            ):
+                break
+            assert time.monotonic() < deadline, "no heartbeat snapshot was adopted"
+            time.sleep(0.1)
+        # Pin that snapshot (no further heartbeats) so every round
+        # replays the same tail.
+        service.supervisor = replace(service.supervisor, heartbeat_interval=3600.0)
+        for event in events[BOUNDED_SNAPSHOT_AT:BOUNDED_KILL_AT]:
+            service.apply(event)
+        return (service,), {}
+
+    def respawn(service: SupervisedFleetService) -> None:
+        owned = service._stream_count[BOUNDED_VICTIM]
+        since = owned - service.worker_snapshot(BOUNDED_VICTIM).count
+        os.kill(service.worker_pid(BOUNDED_VICTIM), signal.SIGKILL)
+        recovered = service.await_recovery(timeout=60.0)
+        outcomes.append((recovered, since, owned, service.counters()))
+
+    try:
+        benchmark.pedantic(respawn, setup=setup, rounds=5, iterations=1)
+        for service, _ in opened:
+            for event in events[BOUNDED_KILL_AT:]:
+                service.apply(event)
+            assert service.state_hash() == expected
+    finally:
+        for service, tmp in opened:
+            service.close()
+            tmp.cleanup()
+    for recovered, since, owned, counters in outcomes:
+        assert recovered
+        assert counters["respawns"] == 1
+        assert counters["snapshot_loads"] == 1
+        assert counters["recovery_mismatches"] == 0
+        assert counters["replay_events"] <= since + BOUNDED_FRAME < owned, (
+            f"respawn replayed {counters['replay_events']} events: more than the "
+            f"{since} admitted since the snapshot plus one {BOUNDED_FRAME}-event frame"
+        )
+    benchmark.extra_info["replay_events"] = [c["replay_events"] for *_, c in outcomes]
+    benchmark.extra_info["victim_history"] = outcomes[0][2]
 
 
 # -- 1M-app struct-of-arrays scale proof --------------------------------------

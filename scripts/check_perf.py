@@ -38,8 +38,8 @@ from pathlib import Path
 #: vectorized prediction-kernel benches, the fleet-service hot paths
 #: (placement queries and event churn at 100k-app scale, the 1M-app
 #: struct-of-arrays fleet, supervised workers both per-event and with
-#: 32-event frames), and the
-#: vector Monte-Carlo batches at 256 replications — PS and RR
+#: 32-event frames, a worker respawn from its heartbeat snapshot), and
+#: the vector Monte-Carlo batches at 256 replications — PS and RR
 #: disciplines plus the fig5-shaped sweep batch, each guarded together
 #: with an object-loop counterpart so the speedup ratios stay visible
 #: and honest in ``BENCH_perf.json``.
@@ -56,6 +56,7 @@ GUARDED = (
     "test_fleet_supervised_workers",
     "test_fleet_million_apps",
     "test_fleet_batched_workers",
+    "test_fleet_bounded_respawn",
     "test_vector_batch_reps256",
     "test_object_loop_reps256",
     "test_rr_vector_batch_reps256",

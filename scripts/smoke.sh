@@ -4,8 +4,8 @@
 # fleet-soak SIGKILL/recovery check, a supervised worker-chaos soak
 # (SIGKILL/hang/crash shard workers at 100k-app scale, bit-identical
 # recovery), the same chaos at 250k apps with events batched into
-# 64-event worker frames, and one traced chaos run whose JSON-lines
-# trace is validated end to end.
+# 64-event worker frames (respawns replaying only journal tails), and
+# one traced chaos run whose JSON-lines trace is validated end to end.
 #
 # Usage: scripts/smoke.sh   (from the repository root)
 set -euo pipefail
@@ -256,6 +256,13 @@ case "$batch_stats" in
     *"recovery_mismatches=0"*) ;;
     *) echo "error: recovery mismatches in batched chaos run ($batch_stats)" >&2; exit 1 ;;
 esac
+# Respawns resume from heartbeat snapshots: together they replay only
+# journal tails, never the whole history of every fault.
+batch_replayed="$(printf '%s\n' "$batch_stats" | sed -n 's/.*replay_events=\([0-9]*\).*/\1/p')"
+[ -n "$batch_replayed" ] && [ "$batch_replayed" -lt 250000 ] || {
+    echo "error: respawns replayed '$batch_replayed' events, not < 250000 ($batch_stats)" >&2
+    exit 1
+}
 echo "ok: 250k-app batched worker-chaos soak bit-identical ($batch_stats)"
 rm -rf "$batch_dir"
 

@@ -176,21 +176,23 @@ def remove_application(dist: np.ndarray, fraction: float) -> np.ndarray:
         if f < 0.5:
             return _verified(dist[:-1] / (1.0 - f), dist, f, tol)
         return _verified(dist[1:] / f, dist, f, tol)
-    out = np.empty(p)
+    # The recurrence runs on Python floats: the same IEEE-754 operations
+    # as on NumPy scalars, bit for bit, without the per-element boxing.
+    coeffs = dist.tolist()
+    out = [0.0] * p
+    acc = 0.0
+    g = 1.0 - f
     if f <= 0.5:
         # Divide from the constant term: dist[i] = out[i](1-f) + out[i-1] f.
-        g = 1.0 - f
-        acc = 0.0
         for i in range(p):
-            out[i] = (dist[i] - acc * f) / g
-            acc = out[i]
+            acc = (coeffs[i] - acc * f) / g
+            out[i] = acc
     else:
         # Divide from the leading term: dist[p] = out[p-1] f.
-        acc = 0.0
         for i in range(p - 1, -1, -1):
-            out[i] = (dist[i + 1] - acc * (1.0 - f)) / f
-            acc = out[i]
-    return _verified(out, dist, f)
+            acc = (coeffs[i + 1] - acc * g) / f
+            out[i] = acc
+    return _verified(np.array(out), dist, f)
 
 
 def comm_comp_distributions(

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -54,6 +56,18 @@ __all__ = [
     "stream_step",
 ]
 
+#: Snapshot stream magic (bump the digit on any layout change) and the
+#: header after it: rows, live columns, apps, applied events.
+_SNAPSHOT_MAGIC = b"RSNAP001"
+_SNAPSHOT_HEADER = struct.Struct("<4q")
+#: Bytes a snapshot writer gathers before each ``pwrite``.
+_SNAPSHOT_CHUNK = 1 << 20
+
+
+def _snapshot_rows(cols: int) -> int:
+    """Matrix rows per snapshot chunk, for *cols* live columns."""
+    return max(1, _SNAPSHOT_CHUNK // (8 * cols))
+
 #: Event fields that determine shard state. Sequence stamps (``seq``,
 #: ``v``) are deliberately excluded so the live copy of an event, its
 #: journal round-trip, and its replayed copy all chain identically.
@@ -73,6 +87,75 @@ def stream_step(chain: bytes, event: Mapping) -> bytes:
     payload = {field: event[field] for field in STREAM_FIELDS if field in event}
     h.update(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
     return h.digest()
+
+
+class _SnapshotWriter:
+    """Chunked ``pwrite`` stream into a file descriptor, digested as it goes."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.offset = 0
+        self.digest = hashlib.blake2b(digest_size=16)
+        self._chunk: list[bytes] = []
+        self._size = 0
+        os.ftruncate(fd, 0)
+
+    def write(self, data: bytes) -> None:
+        self.digest.update(data)
+        self._chunk.append(data)
+        self._size += len(data)
+        if self._size >= _SNAPSHOT_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        view = memoryview(b"".join(self._chunk))
+        self._chunk, self._size = [], 0
+        while view:
+            written = os.pwrite(self.fd, view, self.offset)
+            self.offset += written
+            view = view[written:]
+
+    def close(self) -> int:
+        """Append the digest trailer; return the snapshot's byte length."""
+        self.write(self.digest.digest())
+        self.flush()
+        return self.offset
+
+
+class _SnapshotReader:
+    """Exact-length ``pread`` stream out of a file descriptor, digested."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+        self.offset = 0
+        self.size = os.fstat(fd).st_size
+        self.digest = hashlib.blake2b(digest_size=16)
+
+    def read(self, n: int) -> bytes:
+        if not 0 <= n <= self.size - self.offset:
+            # Checked up front so a corrupted length cannot drive a huge read.
+            raise ModelError(f"snapshot truncated: {n} bytes wanted at {self.offset}")
+        parts = []
+        while n > 0:
+            part = os.pread(self.fd, min(n, _SNAPSHOT_CHUNK), self.offset)
+            if not part:
+                raise ModelError(f"snapshot truncated at byte {self.offset}")
+            self.offset += len(part)
+            n -= len(part)
+            parts.append(part)
+        data = b"".join(parts)
+        self.digest.update(data)
+        return data
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """The next *count* items as a read-only array over the bytes read."""
+        width = np.dtype(dtype).itemsize
+        return np.frombuffer(self.read(width * count), dtype=dtype)
+
+    def verify_trailer(self) -> None:
+        expected = self.digest.digest()
+        if self.read(len(expected)) != expected:
+            raise ModelError("snapshot digest mismatch: torn or corrupted slot")
 
 
 @dataclass(frozen=True)
@@ -773,6 +856,101 @@ class ArrayShard:
             h.update(self._pcomm[i, : p + 1].tobytes())
             h.update(self._pcomp[i, : p + 1].tobytes())
         return h.hexdigest()
+
+    def write_snapshot(self, fd: int) -> int:
+        """Stream the shard's replay-relevant state into *fd*; return its size.
+
+        The snapshot is everything :meth:`state_hash` covers plus what
+        later events read: ``_plen``, the live ``[:, :max_p + 1]``
+        columns of both distribution matrices, and per machine row its
+        app names in insertion order with their fraction and size.
+        Slot numbers, free lists, column capacity and the memoized
+        slowdowns are not state — :meth:`load_snapshot` rebuilds them.
+        Rows go out in bounded chunks through ``pwrite`` (no buffer of
+        the whole snapshot), closed by a blake2b digest of every byte
+        before it, so a torn or flipped slot never loads.
+        """
+        n = len(self.machine_ids)
+        cols = int(self._plen.max()) + 1 if n else 1
+        apps = int(self._plen.sum())
+        out = _SnapshotWriter(fd)
+        out.write(_SNAPSHOT_MAGIC)
+        out.write(_SNAPSHOT_HEADER.pack(n, cols, apps, self.applied))
+        out.write(self._plen.tobytes())
+        rows = _snapshot_rows(cols)
+        for matrix in (self._pcomm, self._pcomp):
+            for lo in range(0, n, rows):
+                out.write(matrix[lo : lo + rows, :cols].tobytes())
+        for slots in self._slots:
+            if not slots:
+                continue
+            order = np.fromiter(slots.values(), np.int64, len(slots))
+            names = [name.encode("utf-8", "surrogatepass") for name in slots]
+            out.write(self._frac[order].tobytes())
+            out.write(self._size[order].tobytes())
+            out.write(np.fromiter(map(len, names), np.int64, len(names)).tobytes())
+            out.write(b"".join(names))
+        return out.close()
+
+    def load_snapshot(self, fd: int) -> "ArrayShard":
+        """A new shard rebuilt from a :meth:`write_snapshot` stream in *fd*.
+
+        Same id, machines and tables as this one. Raises
+        :class:`~repro.errors.ModelError` when the stream is short,
+        malformed, shaped for another slice, or fails its digest; the
+        caller must still compare the rebuilt :meth:`state_hash`
+        against a trusted fingerprint before believing it.
+        """
+        src = _SnapshotReader(fd)
+        if src.read(len(_SNAPSHOT_MAGIC)) != _SNAPSHOT_MAGIC:
+            raise ModelError("not a shard snapshot")
+        n, cols, apps, applied = _SNAPSHOT_HEADER.unpack(
+            src.read(_SNAPSHOT_HEADER.size)
+        )
+        if n != len(self.machine_ids) or cols < 1 or apps < 0:
+            raise ModelError(f"snapshot shaped for {n} machines, not this slice")
+        plen = src.array("<i8", n)
+        if n and (int(plen.max()) + 1 != cols or int(plen.sum()) != apps):
+            raise ModelError("snapshot header disagrees with its app counts")
+        shard = self.fresh()
+        capacity = shard._COL_CAP
+        while capacity < cols + 1:
+            capacity *= 2
+        shard._pcomm = np.zeros((n, capacity))
+        shard._pcomp = np.zeros((n, capacity))
+        rows = _snapshot_rows(cols)
+        for matrix in (shard._pcomm, shard._pcomp):
+            for lo in range(0, n, rows):
+                hi = min(n, lo + rows)
+                matrix[lo:hi, :cols] = src.array("<f8", (hi - lo) * cols).reshape(-1, cols)
+        shard._plen = plen.astype(np.int64)
+        slots_cap = max(shard._SLOT_CAP, apps)
+        shard._frac = np.zeros(slots_cap)
+        shard._size = np.zeros(slots_cap)
+        shard._names = [None] * slots_cap
+        slot = 0
+        for i, p in enumerate(plen.tolist()):
+            if not p:
+                continue
+            shard._frac[slot : slot + p] = src.array("<f8", p)
+            shard._size[slot : slot + p] = src.array("<f8", p)
+            lengths = src.array("<i8", p).tolist()
+            blob = src.read(sum(lengths))
+            row = shard._slots[i]
+            start = 0
+            for length in lengths:
+                try:
+                    name = blob[start : start + length].decode("utf-8", "surrogatepass")
+                except UnicodeDecodeError as exc:
+                    raise ModelError(f"snapshot name is not UTF-8: {exc}") from None
+                start += length
+                row[name] = slot
+                shard._names[slot] = name
+                slot += 1
+        src.verify_trailer()
+        shard._next_slot = slot
+        shard.applied = int(applied)
+        return shard
 
     def fresh(self) -> "ArrayShard":
         """A new empty shard with the same id, machines and tables."""

@@ -305,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
             f" worker_failures={counters['worker_failures']}"
             f" heartbeats_missed={counters['heartbeats_missed']}"
             f" replay_events={counters['replay_events']}"
+            f" snapshot_loads={counters['snapshot_loads']}"
+            f" snapshot_rejects={counters['snapshot_rejects']}"
             f" failover_answers={counters['failover_answers']}"
             f" recovery_mismatches={counters['recovery_mismatches']}"
         )

@@ -27,6 +27,16 @@ and adds a supervision tree over the workers:
   quarantined. While a worker replays, its slice receives no applies —
   the journal covers them — so a long replay cannot trip its own
   backpressure.
+* **Heartbeat snapshots.** A hashed heartbeat also asks the worker to
+  stream its shard into one of two snapshot slots per shard; the pong
+  that reports the applied count recorded at send time adopts it,
+  together with the stream count, chain, log offset and sequence number
+  it covers. The first respawn round then loads the adopted slot,
+  checks its ``state_hash`` against that pong's and replays only the
+  journal tail from the recorded offset, so respawn costs load +
+  verify + tail instead of the whole history. A snapshot that fails
+  any check is counted (``fleet.snapshot_rejects``) and the round
+  falls back to the full replay.
 * **Failover answers.** While a shard is dead or replaying, queries
   touching its machines are answered from the registry's analytic
   aggregates (``p + 1``, ``1 + Σ f_k``) at ANALYTIC confidence —
@@ -64,7 +74,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
+from multiprocessing.connection import wait as wait_ready
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.params import DelayTable, SizedDelayTable
@@ -75,9 +86,15 @@ from ..reliability.degrade import Confidence
 from .admission import AdmissionController
 from .service import FleetService, PlacementAnswer, PlacementQuery
 from .shard import ReplayCheckpoint, ShardPolicy, replay_stream
-from .worker import FAULT_KINDS, PendingRequest, WorkerHandle, WorkerUnavailable
+from .worker import (
+    FAULT_KINDS,
+    PendingRequest,
+    SnapshotSlot,
+    WorkerHandle,
+    WorkerUnavailable,
+)
 
-__all__ = ["SupervisorPolicy", "SupervisedFleetService"]
+__all__ = ["SupervisorPolicy", "SupervisedFleetService", "ShardSnapshot"]
 
 #: Response tag each request kind must be answered with (FIFO pipes
 #: make the match positional; anything else is a protocol desync).
@@ -90,6 +107,26 @@ _EXPECTED_ACK = {
     "inject": "ok",
     "shutdown": "ok",
 }
+
+
+@dataclass(frozen=True)
+class ShardSnapshot:
+    """A heartbeat snapshot and the stream prefix it covers.
+
+    Recorded when the snapshot-bearing ping is sent — the shard's
+    admitted-event count and stream chain, and the log's byte offset
+    and next sequence number — and completed with the pong's
+    ``state_hash`` on adoption. Pending frames are flushed before the
+    ping and the pipe is FIFO, so the worker snapshots exactly this
+    prefix.
+    """
+
+    slot: int
+    count: int
+    chain: bytes
+    offset: int
+    seq: int
+    state_hash: str = ""
 
 
 @dataclass(frozen=True)
@@ -106,8 +143,10 @@ class SupervisorPolicy:
     heartbeat_hash:
         Ask for the worker's ``state_hash`` with each ping. The
         ``(applied, hash)`` pair becomes the pre-quarantine checkpoint
-        a later replay must reproduce mid-stream; turning it off
-        trades that verification depth for cheaper heartbeats.
+        a later replay must reproduce mid-stream, and the heartbeat
+        carries the shard snapshot a respawn resumes from; turning it
+        off trades that verification depth and the bounded respawn for
+        cheaper heartbeats (every respawn replays the whole journal).
     max_inflight:
         Per-worker bound on unacknowledged requests (apply *frames*,
         not individual events). Sized so the worst-case backlog stays
@@ -237,10 +276,20 @@ class SupervisedFleetService(FleetService):
         # Last clean heartbeat fingerprint per shard: the replay
         # checkpoint a respawn must reproduce (None after a desync).
         self._checkpoints: dict[int, ReplayCheckpoint | None] = {}
+        # Two snapshot slots per shard (hashed heartbeats only) and the
+        # adopted snapshot a respawn resumes from (dropped on desync).
+        self._slots: list[tuple[SnapshotSlot, SnapshotSlot]] = (
+            [(SnapshotSlot(), SnapshotSlot()) for _ in range(self.num_shards)]
+            if self.supervisor.heartbeat_hash
+            else []
+        )
+        self._snapshots: dict[int, ShardSnapshot] = {}
         # Supervisor accounting — the chaos proof reads these.
         self.heartbeats_missed = 0
         self.respawns = 0
         self.replay_events = 0
+        self.snapshot_loads = 0
+        self.snapshot_rejects = 0
         self.failover_answers = 0
         self.worker_failures = 0
         self.worker_backpressure = 0
@@ -266,6 +315,7 @@ class SupervisedFleetService(FleetService):
             str(self.log.path),
             self.supervisor.max_inflight,
             now,
+            self._slots[sid] if self._slots else (),
         )
 
     def _fail_worker(self, sid: int, reason: str) -> None:
@@ -297,17 +347,12 @@ class SupervisedFleetService(FleetService):
         raw_checkpoint = (
             (checkpoint.count, checkpoint.state_hash) if checkpoint else None
         )
-        # Snapshot the stream accounting *at send time*: events logged
-        # while the replay runs are outside its scope — they are picked
-        # up by catch-up rounds (:meth:`_finish_replay`).
-        meta = (
-            self._stream_count[sid],
-            self._stream_chain[sid],
-            self.log.next_seq,
-        )
+        snapshot = self._snapshots.get(sid)
+        raw_snapshot = astuple(snapshot) if snapshot is not None else None
+        meta = self._replay_scope(sid)
         try:
             handle.request(
-                ("replay", 0, self.log.next_seq, raw_checkpoint),
+                ("replay", (0, 0), self.log.next_seq, raw_checkpoint, raw_snapshot),
                 "replay",
                 self.supervisor.replay_deadline,
                 now,
@@ -322,30 +367,58 @@ class SupervisedFleetService(FleetService):
         self.respawns += 1
         _obs.inc("fleet.respawns")
 
+    def _replay_scope(self, sid: int) -> tuple[int, bytes, int, int]:
+        """Stream accounting for a replay round, taken *at send time*.
+
+        ``(owned events admitted, rolling chain, log seq and byte offset
+        the round covers up to)``. Events logged while the round runs
+        are outside its scope — catch-up rounds (:meth:`_finish_replay`)
+        pick them up, starting at this seq and offset.
+        """
+        return (
+            self._stream_count[sid],
+            self._stream_chain[sid],
+            self.log.next_seq,
+            self.log.offset,
+        )
+
     def _finish_replay(
         self,
         sid: int,
-        meta: tuple[int, bytes, int],
+        meta: tuple[int, bytes, int, int],
         count: int,
         chain_hex: str,
         checkpoint_ok: bool,
         detail: str | None,
+        snapshot_status: str | None,
     ) -> None:
         """Verify one replay round; catch up, re-admit, or stay quarantined.
 
-        *meta* is the stream accounting snapshot taken when the round
-        was sent: ``(owned events admitted, rolling chain, log seq the
-        round covers up to)``. The worker's reported count and chain
-        are cumulative across rounds, so each round verifies against
-        its own snapshot. Events logged while the round ran are outside
-        its scope — a shrinking delta round covers them, and only when
-        a verified round leaves nothing uncovered does the worker go
-        live. The deltas converge geometrically: replaying a batch is
-        far cheaper than admitting (validating, logging, fanning out)
-        the same batch was.
+        *meta* is the round's :meth:`_replay_scope`. The worker's
+        reported count and chain are cumulative across rounds, so each
+        round verifies against its own scope. Events logged while the
+        round ran are outside it — a shrinking delta round covers them,
+        and only when a verified round leaves nothing uncovered does
+        the worker go live. The deltas converge geometrically:
+        replaying a batch is far cheaper than admitting (validating,
+        logging, fanning out) the same batch was.
+
+        *snapshot_status* reports the first round's adopted snapshot:
+        ``"loaded"`` (the count it covers was not replayed, so it is
+        not charged to ``replay_events``), ``"rejected: ..."`` (counted;
+        the round was a full replay and the snapshot is dropped) or
+        None (no snapshot offered).
         """
-        expected_count, expected_chain, upto_sent = meta
+        expected_count, expected_chain, upto_sent, upto_offset = meta
         worker = self._workers[sid]
+        if snapshot_status == "loaded":
+            worker.replayed = self._snapshots[sid].count
+            self.snapshot_loads += 1
+            _obs.inc("fleet.snapshot_loads")
+        elif snapshot_status is not None:
+            self._snapshots.pop(sid, None)
+            self.snapshot_rejects += 1
+            _obs.inc("fleet.snapshot_rejects")
         error: RecoveryError | None = None
         if not checkpoint_ok:
             error = RecoveryError(
@@ -377,15 +450,12 @@ class SupervisedFleetService(FleetService):
         now = self._clock()
         if self.log is not None and self.log.next_seq > upto_sent:
             # Verified, but the feed moved on while the round ran:
-            # send the delta round before re-admitting.
-            next_meta = (
-                self._stream_count[sid],
-                self._stream_chain[sid],
-                self.log.next_seq,
-            )
+            # send the delta round, from where this one stopped, before
+            # re-admitting.
+            next_meta = self._replay_scope(sid)
             try:
                 sent = worker.request(
-                    ("replay", upto_sent, self.log.next_seq, None),
+                    ("replay", (upto_offset, upto_sent), self.log.next_seq, None, None),
                     "replay",
                     self.supervisor.replay_deadline,
                     now,
@@ -414,8 +484,9 @@ class SupervisedFleetService(FleetService):
         if tag == "err" and entry.kind == "apply":
             # The worker rejected a logged event: its state no longer
             # matches the stream, and neither does its last heartbeat
-            # fingerprint — drop the checkpoint and fail it.
+            # fingerprint or its snapshot — drop both and fail it.
             self._checkpoints[sid] = None
+            self._snapshots.pop(sid, None)
             self._fail_worker(sid, f"stream desync in worker: {response[1]}")
             return
         if _EXPECTED_ACK.get(entry.kind) != tag:
@@ -424,13 +495,17 @@ class SupervisedFleetService(FleetService):
             )
             return
         if tag == "pong":
-            applied, digest = response[1], response[2]
+            applied, digest, written = response[1], response[2], response[3]
             if digest is not None:
                 self._checkpoints[sid] = ReplayCheckpoint(int(applied), digest)
+            snapshot = entry.meta
+            if snapshot is not None:
+                self._workers[sid].snapshotting = False
+                # Adopt only a snapshot of exactly the recorded prefix.
+                if written and digest is not None and applied == snapshot.count:
+                    self._snapshots[sid] = replace(snapshot, state_hash=digest)
         elif tag == "replayed":
-            self._finish_replay(
-                sid, entry.meta, response[1], response[2], response[3], response[4]
-            )
+            self._finish_replay(sid, entry.meta, *response[1:6])
 
     def _drain(self, sid: int) -> None:
         """Process every ready acknowledgement from worker *sid*."""
@@ -533,19 +608,47 @@ class SupervisedFleetService(FleetService):
                 worker.state == WorkerHandle.LIVE
                 and now - worker.last_ping >= policy.heartbeat_interval
             ):
+                snapshot = self._next_snapshot(sid)
                 try:
                     if worker.request(
-                        ("ping", policy.heartbeat_hash),
+                        (
+                            "ping",
+                            policy.heartbeat_hash,
+                            snapshot.slot if snapshot is not None else None,
+                        ),
                         "ping",
                         policy.heartbeat_timeout,
                         now,
+                        meta=snapshot,
                     ):
                         worker.last_ping = now
+                        worker.snapshotting |= snapshot is not None
                 except WorkerUnavailable:
                     self._fail_worker(sid, "pipe to worker closed")
         _obs.set_gauge(
             "fleet.worker_depth",
             float(sum(len(w.pending) for w in self._workers)),
+        )
+
+    def _next_snapshot(self, sid: int) -> ShardSnapshot | None:
+        """The prefix a heartbeat sent now would snapshot, or None.
+
+        None when heartbeats are hash-free, the log is detached, or a
+        snapshot-bearing ping is already in flight. The slot is always
+        the one not adopted, so a torn write never touches the
+        snapshot a respawn would load. Called right after the sweep
+        flushed the shard's partial frame: the worker has been sent
+        every admitted event.
+        """
+        if not self._slots or self.log is None or self._workers[sid].snapshotting:
+            return None
+        adopted = self._snapshots.get(sid)
+        return ShardSnapshot(
+            slot=1 - adopted.slot if adopted is not None else 0,
+            count=self._stream_count[sid],
+            chain=self._stream_chain[sid],
+            offset=self.log.offset,
+            seq=self.log.next_seq,
         )
 
     # -- shard backend seam (process-backed) -----------------------------------
@@ -709,24 +812,62 @@ class SupervisedFleetService(FleetService):
         return sid not in self.quarantined
 
     def await_recovery(self, timeout: float = 30.0) -> bool:
-        """Tick until every worker is live, verified, and drained.
+        """Tick until every worker is live, verified, drained, and proven alive.
 
         Drained matters: a wedged worker still reads as LIVE until its
         oldest in-flight request blows its deadline, so "no quarantine"
         alone would declare a hung fleet recovered. Waiting for empty
         in-flight windows forces the hang to either answer or expire.
+
+        Proven alive matters too: a worker killed just before the call
+        still reads as LIVE with an empty window until its death is
+        noticed. So every worker must also answer a hash-free ping sent
+        after the call began — or have been respawned (and so verified)
+        since.
         """
         end = time.monotonic() + timeout
+        first = list(self._workers)
+        probed: set[int] = set()
         while True:
             self.tick(force=True)
+            for sid, worker in enumerate(self._workers):
+                if (
+                    worker is first[sid]
+                    and sid not in probed
+                    and worker.state == WorkerHandle.LIVE
+                ):
+                    try:
+                        if worker.request(
+                            ("ping", False, None),
+                            "ping",
+                            self.supervisor.heartbeat_timeout,
+                            self._clock(),
+                        ):
+                            probed.add(sid)
+                    except WorkerUnavailable:
+                        self._fail_worker(sid, "pipe to worker closed")
+            # FIFO: an empty window on the probed handle means its ping
+            # was answered; a replaced handle went through respawn.
             if not self.quarantined and all(
-                w.state == WorkerHandle.LIVE and not len(w.pending)
-                for w in self._workers
+                w.state == WorkerHandle.LIVE
+                and not len(w.pending)
+                and (w is not first[sid] or sid in probed)
+                for sid, w in enumerate(self._workers)
             ):
                 return True
             if time.monotonic() >= end:
                 return False
-            time.sleep(0.01)
+            # Wake on the next acknowledgement (or pipe EOF) rather than
+            # on a fixed poll, so recovery is not quantized by the sleep.
+            busy = [
+                w.conn
+                for w in self._workers
+                if w.state != WorkerHandle.DEAD and len(w.pending)
+            ]
+            if busy:
+                wait_ready(busy, timeout=0.01)
+            else:
+                time.sleep(0.01)
 
     def inject_fault(self, sid: int, kind: str, after: int = 1) -> bool:
         """Chaos hook: arm worker *sid* to fail after *after* more applies.
@@ -768,6 +909,10 @@ class SupervisedFleetService(FleetService):
         """In-flight (unacknowledged) requests to shard *sid*'s worker."""
         return len(self._workers[sid].pending)
 
+    def worker_snapshot(self, sid: int) -> ShardSnapshot | None:
+        """Shard *sid*'s adopted heartbeat snapshot, if it has one."""
+        return self._snapshots.get(sid)
+
     def counters(self) -> dict[str, int]:
         out = super().counters()
         out.update(
@@ -775,6 +920,8 @@ class SupervisedFleetService(FleetService):
                 "heartbeats_missed": self.heartbeats_missed,
                 "respawns": self.respawns,
                 "replay_events": self.replay_events,
+                "snapshot_loads": self.snapshot_loads,
+                "snapshot_rejects": self.snapshot_rejects,
                 "failover_answers": self.failover_answers,
                 "worker_failures": self.worker_failures,
                 "worker_backpressure": self.worker_backpressure,
@@ -791,3 +938,6 @@ class SupervisedFleetService(FleetService):
                 worker.shutdown()
             else:
                 worker.kill()
+        for pair in self._slots:
+            for slot in pair:
+                slot.close()

@@ -5,17 +5,17 @@
 shard's slice of the event feed over a pipe (the supervisor partitions
 by ``shard_of``), and answers every request in order:
 
-==============================  ===========================================
-request                         response
-==============================  ===========================================
-``("apply", [events])``         ``("ok", n_applied)`` or ``("err", message)``
-``("slowdowns", [machines])``   ``("slowdowns", {m: (comp, comm, conf)})``
-``("ping", want_hash)``         ``("pong", applied, state_hash_or_None)``
-``("hash",)``                   ``("hash", digest)``
-``("replay", lo, hi, cp)``      ``("replayed", count, chain_hex, cp_ok, why)``
-``("inject", kind, after)``     ``("ok",)``
-``("shutdown",)``               ``("ok",)`` then the process exits
-==============================  ===========================================
+===================================  ======================================================
+request                              response
+===================================  ======================================================
+``("apply", [events])``              ``("ok", n_applied)`` or ``("err", message)``
+``("slowdowns", [machines])``        ``("slowdowns", {m: (comp, comm, conf)})``
+``("ping", want_hash, slot)``        ``("pong", applied, hash_or_None, written)``
+``("hash",)``                        ``("hash", digest)``
+``("replay", start, hi, cp, snap)``  ``("replayed", count, chain_hex, cp_ok, why, status)``
+``("inject", kind, after)``          ``("ok",)``
+``("shutdown",)``                    ``("ok",)`` then the process exits
+===================================  ======================================================
 
 Responses come back strictly FIFO — a pipe is an ordered byte stream
 and the loop answers one request before reading the next — so the
@@ -38,27 +38,45 @@ answering (``hang``), or lets an exception escape the loop
 quarantine, respawn, replay — which is exactly what the chaos soak
 asserts.
 
-``("replay", from_seq, upto_seq, checkpoint)`` rebuilds the shard from
-the durable :class:`~repro.experiments.journal.EventLog`: the worker
-replays every owned event with ``from_seq <= seq < upto_seq`` through
-:func:`~repro.fleet.shard.replay_stream` and reports the *cumulative*
+``("ping", True, slot)`` is a heartbeat that also streams the shard
+into snapshot slot *slot* (:class:`SnapshotSlot`, one of two per shard,
+owned by the supervisor) after computing the hash; ``written`` reports
+whether the snapshot landed. The supervisor adopts it only when the
+pong's ``applied`` matches the stream prefix it recorded at send time.
+
+``("replay", (offset, seq), upto_seq, checkpoint, snapshot)`` rebuilds
+the shard from the durable :class:`~repro.experiments.journal.EventLog`:
+the worker reads the log from byte *offset* (whose first record is
+*seq*) and replays every owned event before *upto_seq* through
+:func:`~repro.fleet.shard.replay_stream`, reporting the *cumulative*
 replayed count, the rolling stream chain, and whether the
 pre-quarantine checkpoint was reproduced. The chain and count persist
 across requests, so the supervisor can catch a respawned worker up
-incrementally — a first full replay, then shrinking delta rounds over
-whatever was logged while the previous round ran — and verify each
-round against its own cumulative accounting. Bit-identical or
-quarantined.
+incrementally — a first round, then shrinking delta rounds that start
+where the previous one stopped — and verify each round against its own
+cumulative accounting. Bit-identical or quarantined.
+
+A first round may carry an adopted *snapshot*
+``(slot, count, chain, offset, seq, state_hash)``. The worker loads the
+slot, and only if the load passes its digest, the rebuilt
+``state_hash`` equals the heartbeat's and the applied count equals
+*count* does it seed its chain and count from the snapshot and replay
+just the tail from ``(offset, seq)``. Otherwise the snapshot is
+reported ``rejected`` and the round falls back to a full replay from
+byte 0 — an unverified snapshot is never trusted.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import select
 import struct
+import tempfile
 import time
 import traceback
 from dataclasses import dataclass
+from multiprocessing import reduction
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Iterable, Sequence
 
@@ -66,7 +84,13 @@ from ..errors import ModelError
 from .admission import BoundedQueue
 from .shard import ArrayShard, ReplayCheckpoint, replay_stream
 
-__all__ = ["worker_main", "WorkerHandle", "WorkerUnavailable", "FAULT_KINDS"]
+__all__ = [
+    "worker_main",
+    "WorkerHandle",
+    "WorkerUnavailable",
+    "SnapshotSlot",
+    "FAULT_KINDS",
+]
 
 #: Chaos-injection kinds ``("inject", kind, after)`` understands.
 FAULT_KINDS = ("exit", "hang", "raise")
@@ -80,12 +104,74 @@ class WorkerUnavailable(Exception):
     """The worker's pipe is gone (process died or closed its end)."""
 
 
+class SnapshotSlot:
+    """An anonymous in-memory file holding one shard snapshot.
+
+    A ``memfd`` where the platform has one, otherwise an unlinked
+    temporary file. The supervisor creates two per shard and passes
+    them to every worker it spawns: a fork child inherits the
+    descriptor, a spawn child receives a duplicate through
+    multiprocessing's fd passing (see :meth:`__reduce__`). Reads and
+    writes use ``pread``/``pwrite``, so the shared file offset never
+    matters.
+    """
+
+    def __init__(self, fd: int | None = None) -> None:
+        if fd is None:
+            try:
+                fd = os.memfd_create("fleet-snapshot")
+            except (AttributeError, OSError):
+                fd, path = tempfile.mkstemp(prefix="fleet-snapshot-")
+                os.unlink(path)
+        self.fd = fd
+
+    def __reduce__(self) -> tuple:
+        # Only pickled while a spawn/forkserver child is being launched.
+        return _attach_slot, (reduction.DupFd(self.fd),)
+
+    def close(self) -> None:
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+
+def _attach_slot(dup: Any) -> SnapshotSlot:
+    return SnapshotSlot(dup.detach())
+
+
+def _load_snapshot(
+    shard: ArrayShard, slots: Sequence[SnapshotSlot], snapshot: tuple
+) -> tuple[ArrayShard, bytes, tuple[int, int], str]:
+    """Load and verify an adopted snapshot: ``(shard, chain, start, status)``.
+
+    Verification order: the slot's digest and shape (inside
+    :meth:`~repro.fleet.shard.ArrayShard.load_snapshot`), then the
+    rebuilt ``state_hash`` against the heartbeat's, then the applied
+    count against the supervisor's record. Any failure returns the
+    empty *shard* and a full-replay start with a ``rejected`` status.
+    """
+    index, count, chain, offset, seq, digest = snapshot
+    try:
+        loaded = shard.load_snapshot(slots[index].fd)
+    except (ModelError, OSError) as exc:
+        return shard, b"", (0, 0), f"rejected: {exc}"
+    got = loaded.state_hash()
+    if got != digest:
+        return shard, b"", (0, 0), f"rejected: state hash {got}, heartbeat {digest}"
+    if loaded.applied != count:
+        return shard, b"", (0, 0), (
+            f"rejected: snapshot holds {loaded.applied} events, recorded {count}"
+        )
+    return loaded, chain, (offset, seq), "loaded"
+
+
 def worker_main(
     conn: Any,
     shard_id: int,
     machine_ids: Sequence[int],
     tables: tuple[Any, Any, Any],
     log_path: str | None,
+    slots: Sequence[SnapshotSlot] = (),
 ) -> None:
     """Child-process entry point: serve one shard until shutdown/EOF."""
     shard = ArrayShard(shard_id, machine_ids, *tables)
@@ -133,22 +219,31 @@ def worker_main(
                 conn.send(("slowdowns", answer))
             elif op == "ping":
                 digest = shard.state_hash() if msg[1] else None
-                conn.send(("pong", shard.applied, digest))
+                written = False
+                if digest is not None and msg[2] is not None:
+                    try:
+                        shard.write_snapshot(slots[msg[2]].fd)
+                        written = True
+                    except OSError:
+                        pass  # not adopted; the previous snapshot stands
+                conn.send(("pong", shard.applied, digest, written))
             elif op == "hash":
                 conn.send(("hash", shard.state_hash()))
             elif op == "replay":
-                from_seq, upto_seq, raw_checkpoint = msg[1], msg[2], msg[3]
+                start, upto_seq, raw_checkpoint, snapshot = msg[1:5]
                 checkpoint = (
                     ReplayCheckpoint(*raw_checkpoint)
                     if raw_checkpoint is not None
                     else None
                 )
+                status = None
+                if snapshot is not None:
+                    shard, chain, start, status = _load_snapshot(shard, slots, snapshot)
                 from ..experiments.journal import EventLog
 
-                events: Iterable[Any] = (
-                    event
-                    for event in EventLog.replay(log_path)
-                    if from_seq <= event.get("seq", 0) < upto_seq
+                events: Iterable[Any] = itertools.takewhile(
+                    lambda event: event["seq"] < upto_seq,
+                    EventLog.replay(log_path, start),
                 )
                 try:
                     result = replay_stream(
@@ -158,8 +253,10 @@ def worker_main(
                         chain=chain,
                         already=shard.applied,
                     )
-                except ModelError as exc:
-                    conn.send(("replayed", -1, "", False, f"replay raised: {exc}"))
+                except (ModelError, ValueError) as exc:
+                    conn.send(
+                        ("replayed", -1, "", False, f"replay raised: {exc}", status)
+                    )
                 else:
                     chain = result.chain
                     conn.send(
@@ -169,6 +266,7 @@ def worker_main(
                             result.chain.hex(),
                             result.checkpoint_ok,
                             result.detail,
+                            status,
                         )
                     )
             elif op == "inject":
@@ -229,6 +327,7 @@ class WorkerHandle:
         log_path: str | None,
         max_inflight: int,
         now: float,
+        slots: Sequence[SnapshotSlot] = (),
     ) -> None:
         self.shard_id = int(shard_id)
         self.pending: BoundedQueue = BoundedQueue(max_inflight)
@@ -237,10 +336,12 @@ class WorkerHandle:
         #: Cumulative events the worker has replayed across rounds
         #: (mirrors its reported counts; the supervisor charges deltas).
         self.replayed = 0
+        #: A snapshot-bearing ping is in flight (at most one at a time).
+        self.snapshotting = False
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=worker_main,
-            args=(child_conn, shard_id, tuple(machine_ids), tables, log_path),
+            args=(child_conn, shard_id, tuple(machine_ids), tables, log_path, tuple(slots)),
             name=f"fleet-worker-{shard_id}",
             daemon=True,
         )

@@ -188,3 +188,93 @@ class TestIncrementalUpdates:
         out = remove_application(add_application(base, 1e-12), 1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-15)
         assert out == pytest.approx(base, abs=1e-9)
+
+
+def remove_application_numpy_loop(dist: np.ndarray, fraction: float) -> np.ndarray:
+    """The departure kernel as it ran on NumPy scalars: the oracle.
+
+    :func:`remove_application` runs the same synthetic-division
+    recurrence on Python floats; the IEEE-754 operations are identical,
+    so the two must agree byte for byte, fallbacks included.
+    """
+    from repro.core.probability import _DECONV_LIMIT, _verified
+    from repro.units import check_fraction
+
+    f = check_fraction(fraction, "fraction")
+    p = len(dist) - 1
+    if p < 1:
+        raise ModelError("cannot remove an application from an empty distribution")
+    dist = np.asarray(dist, dtype=float)
+    if min(f, 1.0 - f) < _DECONV_LIMIT:
+        tol = 4.0 * _DECONV_LIMIT
+        if f < 0.5:
+            return _verified(dist[:-1] / (1.0 - f), dist, f, tol)
+        return _verified(dist[1:] / f, dist, f, tol)
+    out = np.empty(p)
+    if f <= 0.5:
+        g = 1.0 - f
+        acc = 0.0
+        for i in range(p):
+            out[i] = (dist[i] - acc * f) / g
+            acc = out[i]
+    else:
+        acc = 0.0
+        for i in range(p - 1, -1, -1):
+            out[i] = (dist[i + 1] - acc * (1.0 - f)) / f
+            acc = out[i]
+    return _verified(out, dist, f)
+
+
+def _outcome(kernel, dist: np.ndarray, fraction: float) -> bytes | str:
+    try:
+        return kernel(dist, fraction).tobytes()
+    except ModelError as exc:
+        return f"ModelError: {exc}"
+
+
+edge_fractions = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 1.0 - 1e-9, 1.0 - 1e-12, 1.0]),
+)
+
+
+class TestDepartureKernelDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(edge_fractions, min_size=1, max_size=40),
+        st.integers(min_value=0, max_value=39),
+    )
+    def test_matches_numpy_loop_byte_for_byte(self, fractions, pick):
+        gone = fractions[pick % len(fractions)]
+        dist = overlap_distribution(fractions)
+        assert _outcome(remove_application, dist, gone) == _outcome(
+            remove_application_numpy_loop, dist, gone
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+        edge_fractions,
+    )
+    def test_matches_on_foreign_fraction(self, fractions, gone):
+        # Removing a fraction that was never added drives the
+        # ``_verified`` rebuild fallback: both kernels must raise alike.
+        dist = overlap_distribution(fractions)
+        assert _outcome(remove_application, dist, gone) == _outcome(
+            remove_application_numpy_loop, dist, gone
+        )
+
+    @pytest.mark.parametrize("gone", [0.2, 0.5, 0.8])
+    def test_both_branches_at_fleet_population(self, gone):
+        rng = np.random.default_rng(390)
+        dist = overlap_distribution(list(rng.uniform(0.05, 0.95, 389)) + [gone])
+        assert _outcome(remove_application, dist, gone) == _outcome(
+            remove_application_numpy_loop, dist, gone
+        )
+
+    def test_fallback_is_exercised(self):
+        dist = overlap_distribution([0.1, 0.1, 0.1])
+        assert _outcome(remove_application, dist, 0.9).startswith("ModelError")
+        assert _outcome(remove_application, dist, 0.9) == _outcome(
+            remove_application_numpy_loop, dist, 0.9
+        )

@@ -299,3 +299,50 @@ class TestEventLog:
         with EventLog(path) as log:
             assert log.next_seq == 0
         assert list(EventLog.replay(path)) == []
+
+    def test_offset_tracks_the_durable_byte_length(self, tmp_path):
+        from repro.experiments.journal import EventLog
+
+        path = tmp_path / "ev.jsonl"
+        with EventLog(path) as log:
+            for e in self._events(4):
+                log.append(e)
+                assert log.offset == path.stat().st_size
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"torn')
+        with EventLog(path, resume=True) as log:
+            assert log.offset == path.stat().st_size  # torn tail cut off
+            assert (log.offset, log.next_seq) != (0, 0)
+
+    def test_replay_from_offset_yields_the_tail(self, tmp_path):
+        from repro.experiments.journal import EventLog
+
+        path = tmp_path / "ev.jsonl"
+        marks = []
+        with EventLog(path) as log:
+            for e in self._events(6):
+                marks.append((log.offset, log.next_seq))
+                log.append(e)
+        full = list(EventLog.replay(path))
+        for offset, seq in marks:
+            assert list(EventLog.replay(path, (offset, seq))) == full[seq:]
+
+    def test_replay_from_offset_checks_the_start(self, tmp_path):
+        # A start pair that does not name the record at that byte (a
+        # rewritten log, a stale offset) never replays the wrong events:
+        # a wrong seq yields nothing, an offset inside a line raises.
+        from repro.experiments.journal import EventLog
+
+        path = tmp_path / "ev.jsonl"
+        with EventLog(path) as log:
+            log.append(self._events(1)[0])
+            offset = log.offset
+            for e in self._events(3):
+                log.append(e)
+            end = log.offset
+        assert list(EventLog.replay(path, (offset, 2))) == []
+        assert list(EventLog.replay(path, (end, 4))) == []
+        assert [e["seq"] for e in EventLog.replay(path, (offset, 1))] == [1, 2, 3]
+        for bad in (offset + 1, offset - 1, end + 7):
+            with pytest.raises(ValueError, match="does not start a line"):
+                list(EventLog.replay(path, (bad, 1)))
