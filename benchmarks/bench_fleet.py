@@ -16,11 +16,6 @@ re-derived on the next query. These benches pin that contract down:
   event log is attached; fsync latency is a durability cost, not a
   kernel cost (``bench_simulator`` measures nothing it doesn't own
   either).
-- ``test_fleet_sharded_workers`` — fan the same query load over
-  ``repro.parallel`` workers, one fleet partition per worker. Not
-  perf-guarded (CI hosts may have a single CPU, where the pool only
-  adds overhead); it proves the partitioned path works and stays
-  value-identical to the inline run.
 - ``test_fleet_supervised_workers`` — the full supervision tree: an
   event feed through >= 4 real shard worker processes (pipe protocol,
   heartbeats, supervision ticks), guarded both by median and by an
@@ -48,7 +43,7 @@ import os
 import signal
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +54,6 @@ from repro.fleet import (
     PlacementQuery,
     TenantQuota,
 )
-from repro.parallel import ParallelExecutor
 
 from conftest import run_once
 
@@ -187,62 +181,6 @@ def test_fleet_event_churn(benchmark):
 
     assert benchmark(run) == 2 * CHURN_PAIRS
     assert len(service.registry) == APPS  # every round returns to baseline
-
-
-# -- sharded fan-out ---------------------------------------------------------
-
-_PARTITIONS: dict[int, FleetService] = {}
-
-
-@dataclass(frozen=True)
-class PartitionQueries:
-    """Picklable worker task: build a fleet partition, answer queries.
-
-    Each worker owns an independent partition of the fleet (machines
-    and apps divided by ``partitions``), cached per process so repeated
-    maps pay the build once — the shape a long-running sharded service
-    would have.
-    """
-
-    partitions: int
-    machines: int
-    apps: int
-    queries: int
-    seed: int
-
-    def __call__(self, part: int) -> tuple[int, int]:
-        service = _PARTITIONS.get(part)
-        if service is None:
-            service = FleetService(
-                machines=self.machines, num_shards=2, admission=_unmetered_admission()
-            )
-            _populate(service, self.apps, seed=self.seed + part)
-            service.query("warmup", PlacementQuery(dcomp_frontend=1.0))
-            _PARTITIONS[part] = service
-        rng = np.random.default_rng(self.seed * 7 + part)
-        served = checksum = 0
-        for _ in range(self.queries):
-            candidates = tuple(
-                int(m) for m in rng.choice(self.machines, size=8, replace=False)
-            )
-            answer = service.query(
-                "t", PlacementQuery(dcomp_frontend=1.0, candidates=candidates)
-            )
-            served += not answer.shed
-            checksum += answer.machine
-        return served, checksum
-
-
-def test_fleet_sharded_workers(benchmark):
-    task = PartitionQueries(partitions=4, machines=16, apps=1500, queries=300, seed=5)
-    parts = list(range(task.partitions))
-    executor = ParallelExecutor(workers=2)
-
-    results = run_once(benchmark, executor.map, task, parts)
-
-    assert [served for served, _ in results] == [task.queries] * task.partitions
-    # Determinism contract: the pool run is value-identical to inline.
-    assert results == ParallelExecutor(workers=1).map(task, parts)
 
 
 # -- supervised worker processes ----------------------------------------------

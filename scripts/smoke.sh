@@ -68,44 +68,6 @@ assert worst <= 1e-9, f"vector diverged from object engine: {worst:.3e} relative
 print(f"ok: vector matches object over {vec.n} replications (worst {worst:.1e} rel)")
 EOF
 
-echo "== sweep-lane byte identity =="
-# A fig5 sweep batched into one ragged vector call must write the same
-# experiment JSON as the per-point path (--no-sweep-lanes), bit for bit
-# modulo the wall-clock stamp.
-sweep_dir="$(mktemp -d -t sweep-identity.XXXXXX)"
-python -m repro fig5 --quick --outdir "$sweep_dir/lanes" >/dev/null
-python -m repro fig5 --quick --no-sweep-lanes --outdir "$sweep_dir/points" >/dev/null
-python - "$sweep_dir" <<'EOF'
-import json
-import sys
-from pathlib import Path
-
-sweep_dir = Path(sys.argv[1])
-
-
-def strip_volatile(obj):
-    if isinstance(obj, dict):
-        return {
-            k: strip_volatile(v) for k, v in obj.items() if k != "created_unix"
-        }
-    if isinstance(obj, list):
-        return [strip_volatile(v) for v in obj]
-    return obj
-
-
-checked = 0
-for lanes_file in sorted((sweep_dir / "lanes").glob("*.json")):
-    points_file = sweep_dir / "points" / lanes_file.name
-    assert points_file.exists(), f"per-point run missing {lanes_file.name}"
-    lanes = strip_volatile(json.loads(lanes_file.read_text()))
-    points = strip_volatile(json.loads(points_file.read_text()))
-    assert lanes == points, f"sweep lanes changed output: {lanes_file.name}"
-    checked += 1
-assert checked, "no JSON results to compare"
-print(f"ok: sweep-lane fig5 byte-identical to per-point path ({checked} files)")
-EOF
-rm -rf "$sweep_dir"
-
 echo "== kill -9 and resume =="
 resume_dir="$(mktemp -d -t resume-smoke.XXXXXX)"
 # Reference: an uninterrupted journaled sweep.

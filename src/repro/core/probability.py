@@ -36,6 +36,7 @@ __all__ = [
     "add_application",
     "remove_application",
     "comm_comp_distributions",
+    "comp_distribution",
     "expected_active",
 ]
 
@@ -195,6 +196,19 @@ def remove_application(dist: np.ndarray, fraction: float) -> np.ndarray:
     return _verified(np.array(out), dist, f)
 
 
+def comp_distribution(pcomm: np.ndarray) -> np.ndarray:
+    """``pcomp`` from ``pcomm``: ``pcomp[i] = pcomm[p - i]``.
+
+    Every application is two-phase — it computes exactly when it does
+    not communicate — so exactly *i* compute when exactly ``p - i``
+    communicate. This is the one place ``pcomp`` is obtained: callers
+    keep only ``pcomm`` and read ``pcomp`` through here. The result is
+    a fresh contiguous array (not a reversed view), so reductions over
+    it such as ``np.dot`` take the same code path wherever it is built.
+    """
+    return pcomm[::-1].copy()
+
+
 def comm_comp_distributions(
     comm_fractions: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,15 +216,12 @@ def comm_comp_distributions(
 
     ``pcomm[i]`` is the probability that exactly *i* applications
     communicate simultaneously; ``pcomp[i]`` that exactly *i* compute.
-    Each application computes whenever it is not communicating, so
-    ``pcomp`` is the overlap distribution of the complementary
-    fractions. (The two arrays are reverses of each other only when
-    every application is two-phase, which they are in this model.)
+    One O(p²) dynamic program builds ``pcomm``; ``pcomp`` is its
+    reverse (:func:`comp_distribution`).
     """
     fractions = [check_fraction(f, "comm_fraction") for f in comm_fractions]
     pcomm = overlap_distribution(fractions)
-    pcomp = overlap_distribution([1.0 - f for f in fractions])
-    return pcomm, pcomp
+    return pcomm, comp_distribution(pcomm)
 
 
 def expected_active(dist: np.ndarray) -> float:

@@ -7,9 +7,10 @@ every time the system status changes or when new applications arrive"
 removing one O(p²) unless the distribution can be deconvolved.
 
 :class:`SlowdownManager` packages that protocol: it holds the profiles
-of the applications currently on the front-end, maintains the two
-overlap distributions incrementally, and answers slowdown queries in
-O(p). Incremental maintenance is observable through
+of the applications currently on the front-end, maintains the
+``pcomm`` overlap distribution incrementally (``pcomp`` is its reverse,
+:func:`~repro.core.probability.comp_distribution`), and answers
+slowdown queries in O(p). Incremental maintenance is observable through
 :attr:`SlowdownManager.rebuilds` (tested to stay at zero across
 arrivals).
 """
@@ -32,6 +33,7 @@ from ..reliability.degrade import (
 from .params import DelayTable, SizedDelayTable
 from .probability import (
     add_application,
+    comp_distribution,
     overlap_distribution,
     remove_application,
 )
@@ -78,7 +80,6 @@ class SlowdownManager:
         self.extrapolate = extrapolate
         self._profiles: dict[str, ApplicationProfile] = {}
         self._pcomm = np.array([1.0])
-        self._pcomp = np.array([1.0])
         #: Number of O(p²) full rebuilds performed (departure fallback).
         self.rebuilds = 0
         #: Every answer served below CALIBRATED confidence, by source.
@@ -106,7 +107,6 @@ class SlowdownManager:
             raise ModelError(f"application {profile.name!r} is already registered")
         self._profiles[profile.name] = profile
         self._pcomm = add_application(self._pcomm, profile.comm_fraction)
-        self._pcomp = add_application(self._pcomp, profile.comp_fraction)
 
     def depart(self, name: str) -> None:
         """Deregister an application.
@@ -120,14 +120,12 @@ class SlowdownManager:
             raise ModelError(f"application {name!r} is not registered")
         try:
             self._pcomm = remove_application(self._pcomm, profile.comm_fraction)
-            self._pcomp = remove_application(self._pcomp, profile.comp_fraction)
         except ModelError:
             self._rebuild()
 
     def _rebuild(self) -> None:
         fractions = [p.comm_fraction for p in self._profiles.values()]
         self._pcomm = overlap_distribution(fractions)
-        self._pcomp = overlap_distribution([1.0 - f for f in fractions])
         self.rebuilds += 1
 
     # -- distribution access -----------------------------------------------------
@@ -139,8 +137,8 @@ class SlowdownManager:
 
     @property
     def pcomp(self) -> np.ndarray:
-        """Current ``pcomp_i`` distribution (copy)."""
-        return self._pcomp.copy()
+        """Current ``pcomp_i`` distribution: ``pcomm`` reversed (copy)."""
+        return comp_distribution(self._pcomm)
 
     # -- slowdown queries -----------------------------------------------------------
 
@@ -160,7 +158,7 @@ class SlowdownManager:
         _obs.inc("slowdown.comm.hit")
         return (
             1.0
-            + weighted_delay(self._pcomp, self.delay_comp, self.extrapolate)
+            + weighted_delay(self.pcomp, self.delay_comp, self.extrapolate)
             + weighted_delay(self._pcomm, self.delay_comm, self.extrapolate)
         )
 
@@ -176,7 +174,8 @@ class SlowdownManager:
         if self.delay_comm_sized is None:
             return self.comp_slowdown_tagged(j).value
         _obs.inc("slowdown.comp.hit")
-        cpu_term = float(np.dot(np.arange(len(self._pcomp)), self._pcomp))
+        pcomp = self.pcomp
+        cpu_term = float(np.dot(np.arange(len(pcomp)), pcomp))
         # Subtracting nothing: index 0 contributes 0 to the dot product.
         size = j if j is not None else self.max_message_size()
         comm_term = 0.0
@@ -208,13 +207,14 @@ class SlowdownManager:
             _obs.inc("slowdown.comm.miss")
             fractions = [p.comm_fraction for p in self._profiles.values()]
             return TaggedSlowdown(analytic_comm_slowdown(fractions), Confidence.ANALYTIC)
+        pcomp = self.pcomp
         value = (
             1.0
-            + weighted_delay(self._pcomp, self.delay_comp, extrapolate=True)
+            + weighted_delay(pcomp, self.delay_comp, extrapolate=True)
             + weighted_delay(self._pcomm, self.delay_comm, extrapolate=True)
         )
         within = (
-            self._max_active_level(self._pcomp) <= self.delay_comp.max_level
+            self._max_active_level(pcomp) <= self.delay_comp.max_level
             and self._max_active_level(self._pcomm) <= self.delay_comm.max_level
         )
         if within:
@@ -237,7 +237,8 @@ class SlowdownManager:
             self.degradations.record("comp", Confidence.ANALYTIC)
             _obs.inc("slowdown.comp.miss")
             return TaggedSlowdown(analytic_comp_slowdown(self.p), Confidence.ANALYTIC)
-        cpu_term = float(np.dot(np.arange(len(self._pcomp)), self._pcomp))
+        pcomp = self.pcomp
+        cpu_term = float(np.dot(np.arange(len(pcomp)), pcomp))
         size = j if j is not None else self.max_message_size()
         comm_term = 0.0
         for i in range(1, len(self._pcomm)):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import inspect
-import os
 import sys
 import time
 from typing import Callable
@@ -194,15 +193,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--no-sweep-lanes",
-        action="store_true",
-        help=(
-            "disable sweep-level lane batching on the vector backend: each "
-            "sweep point runs as its own replication batch (sets "
-            "$REPRO_SIM_SWEEP=0; values are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
@@ -236,11 +226,6 @@ def main(argv: list[str] | None = None) -> int:
         help="delete all entries in the calibration cache dir before running",
     )
     args = parser.parse_args(argv)
-
-    if args.no_sweep_lanes:
-        from .simulate import SWEEP_ENV
-
-        os.environ[SWEEP_ENV] = "0"
 
     from . import calcache
 

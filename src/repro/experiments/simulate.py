@@ -58,7 +58,6 @@ from .runner import Replication, _ReplicationTask
 
 __all__ = [
     "BACKEND_ENV",
-    "SWEEP_ENV",
     "BatchResult",
     "BurstProbe",
     "ComputeProbe",
@@ -70,11 +69,6 @@ __all__ = [
 
 #: Environment variable consulted when ``simulate(backend=None)``.
 BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: Set to ``"0"`` to disable sweep-level lane batching: ``simulate(sweep=...)``
-#: then runs one per-point batch per spec (bit-identical values, more
-#: batches). The smoke suite uses this to prove the equivalence.
-SWEEP_ENV = "REPRO_SIM_SWEEP"
 
 _BACKENDS = ("vector", "object")
 
@@ -535,10 +529,8 @@ def simulate(
         single ragged batch* (grouped by probe type and CPU
         discipline), so a whole figure sweep costs a handful of array
         passes instead of one batch per point. Points the vector
-        engine cannot cover fall back per point; setting
-        ``$REPRO_SIM_SWEEP=0`` disables the batching entirely
-        (bit-identical values either way). Mutually exclusive with
-        *spec*.
+        engine cannot cover fall back per point (bit-identical values
+        either way). Mutually exclusive with *spec*.
     reps:
         Replication count; replication *k* draws all randomness from
         ``RandomStreams(seed).fork(k)`` on both backends.
@@ -647,7 +639,7 @@ def _simulate_sweep(
         )
 
     requested = resolve_backend(backend)
-    if requested != "vector" or os.environ.get(SWEEP_ENV, "").strip() == "0":
+    if requested != "vector":
         return [per_point(sp) for sp in points]
 
     results: list[BatchResult | None] = [None] * len(points)

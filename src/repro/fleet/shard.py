@@ -1,18 +1,22 @@
 """A fleet shard: live contention state for a slice of the machines.
 
-Each shard owns one :class:`~repro.core.runtime.SlowdownManager` per
-machine in its slice and keeps it current by consuming the service's
-arrive/depart event stream. Queries do not touch the managers directly:
-the shard memoizes each machine's tagged ``(comp, comm, confidence)``
-triple and invalidates it per machine on writes, because the tagged
-slowdown queries are O(p) Python loops over the delay tables while an
-arrival is a cheap O(p) NumPy update — a fleet that recomputed every
-machine's slowdowns on every event would melt long before the 10k
-queries/sec target.
+A shard holds, per machine in its slice, the registered profiles and
+the ``pcomm`` overlap distribution (``pcomp`` is its reverse, derived
+on read), and keeps them current by consuming the service's
+arrive/depart event stream. :class:`ArrayShard` is the production
+layout (struct-of-arrays, one distribution matrix); :class:`Shard` is
+its object-backed oracle (one
+:class:`~repro.core.runtime.SlowdownManager` per machine). Both memoize
+each machine's tagged ``(comp, comm, confidence)`` triple and
+invalidate it per machine on writes, because the tagged slowdown
+queries are O(p) loops over the delay tables while an arrival is a
+cheap O(p) NumPy update — a fleet that recomputed every machine's
+slowdowns on every event would melt long before the 10k queries/sec
+target.
 
 :meth:`Shard.state_hash` fingerprints the full model state — every
-machine's registered profiles and both overlap-distribution arrays,
-byte for byte. Replaying the same event prefix through a fresh shard
+machine's registered profiles and its ``pcomm`` array, byte for
+byte. Replaying the same event prefix through a fresh shard
 runs the identical floating-point operations in the identical order, so
 the hash is the recovery test's bit-identity oracle
 (:mod:`repro.fleet.service` rebuilds quarantined shards this way).
@@ -32,13 +36,18 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from ..core.batch import cm2_slowdowns, sequential_fold, sequential_folds
 from ..core.params import DelayTable, SizedDelayTable
-from ..core.probability import add_application, overlap_distribution, remove_application
+from ..core.probability import (
+    add_application,
+    comp_distribution,
+    overlap_distribution,
+    remove_application,
+)
 from ..core.runtime import SlowdownManager
 from ..core.workload import ApplicationProfile
 from ..errors import ModelError
@@ -58,7 +67,7 @@ __all__ = [
 
 #: Snapshot stream magic (bump the digit on any layout change) and the
 #: header after it: rows, live columns, apps, applied events.
-_SNAPSHOT_MAGIC = b"RSNAP001"
+_SNAPSHOT_MAGIC = b"RSNAP002"
 _SNAPSHOT_HEADER = struct.Struct("<4q")
 #: Bytes a snapshot writer gathers before each ``pwrite``.
 _SNAPSHOT_CHUNK = 1 << 20
@@ -394,9 +403,10 @@ class Shard:
         """Bit-exact fingerprint of the shard's full model state.
 
         Covers, per machine in sorted order: the registered profiles
-        (sorted by name) and the raw bytes of both overlap-distribution
-        arrays. Two shards that consumed the same event sequence hash
-        identically — the replay-recovery oracle.
+        (sorted by name) and the raw bytes of the ``pcomm`` array
+        (``pcomp`` is derived from it, so it carries no state). Two
+        shards that consumed the same event sequence hash identically —
+        the replay-recovery oracle.
         """
         h = hashlib.blake2b(digest_size=16)
         for machine in sorted(self.machine_ids):
@@ -407,114 +417,11 @@ class Shard:
                     f"{name},{prof.comm_fraction!r},{prof.message_size!r};".encode()
                 )
             h.update(manager.pcomm.tobytes())
-            h.update(manager.pcomp.tobytes())
         return h.hexdigest()
 
     def fresh(self) -> "Shard":
         """A new empty shard with the same id, machines and tables."""
         return Shard(self.shard_id, self.machine_ids, *self._tables)
-
-
-class _MachineView:
-    """A :class:`SlowdownManager`-shaped façade over one :class:`ArrayShard` row.
-
-    Exists so code written against ``shard.managers[machine]`` (tests,
-    the desync phase of the fleet experiment) keeps working against the
-    struct-of-arrays backend. Mutations go straight to the shard's
-    arrays and — exactly like calling a manager directly — bypass the
-    shard's dirty set and ``applied`` counter.
-    """
-
-    __slots__ = ("_shard", "_machine", "_i")
-
-    def __init__(self, shard: "ArrayShard", machine: int) -> None:
-        self._shard = shard
-        self._machine = machine
-        self._i = shard._row[machine]
-
-    def __len__(self) -> int:
-        return int(self._shard._plen[self._i])
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._shard._slots[self._i]
-
-    def __iter__(self) -> Iterator[ApplicationProfile]:
-        return iter(self.snapshot().values())
-
-    @property
-    def p(self) -> int:
-        return len(self)
-
-    @property
-    def pcomm(self) -> np.ndarray:
-        i, p = self._i, len(self)
-        return self._shard._pcomm[i, : p + 1].copy()
-
-    @property
-    def pcomp(self) -> np.ndarray:
-        i, p = self._i, len(self)
-        return self._shard._pcomp[i, : p + 1].copy()
-
-    def arrive(self, profile: ApplicationProfile) -> None:
-        self._shard._arrive(
-            self._i, profile.name, profile.comm_fraction, profile.message_size
-        )
-
-    def depart(self, name: str) -> None:
-        self._shard._depart(self._i, name)
-
-    def max_message_size(self) -> float:
-        return self._shard._max_message_size(self._i)
-
-    def snapshot(self) -> Mapping[str, ApplicationProfile]:
-        shard, i = self._shard, self._i
-        return {
-            name: ApplicationProfile(
-                name=name,
-                comm_fraction=float(shard._frac[slot]),
-                message_size=float(shard._size[slot]),
-            )
-            for name, slot in shard._slots[i].items()
-        }
-
-
-class _MachineViews:
-    """Mapping-style ``managers`` compatibility container for :class:`ArrayShard`."""
-
-    __slots__ = ("_shard",)
-
-    def __init__(self, shard: "ArrayShard") -> None:
-        self._shard = shard
-
-    def __getitem__(self, machine: int) -> _MachineView:
-        if machine not in self._shard._row:
-            raise KeyError(machine)
-        return _MachineView(self._shard, machine)
-
-    def get(self, machine: int, default=None):
-        if machine not in self._shard._row:
-            return default
-        return _MachineView(self._shard, machine)
-
-    def __contains__(self, machine: int) -> bool:
-        return machine in self._shard._row
-
-    def __len__(self) -> int:
-        return len(self._shard._row)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._shard._row)
-
-    def keys(self):
-        return self._shard._row.keys()
-
-    def values(self) -> Iterator[_MachineView]:
-        for machine in self._shard._row:
-            yield _MachineView(self._shard, machine)
-
-    def items(self):
-        for machine in self._shard._row:
-            yield machine, _MachineView(self._shard, machine)
 
 
 class ArrayShard:
@@ -524,9 +431,9 @@ class ArrayShard:
     ``ApplicationProfile`` per app, the whole machine slice lives in a
     handful of contiguous NumPy arrays:
 
-    * ``_pcomm`` / ``_pcomp`` — 2D overlap-distribution matrices, one
-      row per machine, columns grown by doubling; row *i*'s live prefix
-      is ``[: p_i + 1]``.
+    * ``_pcomm`` — the 2D overlap-distribution matrix, one row per
+      machine, columns grown by doubling; row *i*'s live prefix is
+      ``[: p_i + 1]``. ``pcomp`` is read as its reverse.
     * ``_frac`` / ``_size`` / ``_names`` — pooled per-app metadata; an
       app is a slot index (``_slots[row][name]``) into these pools,
       recycled through a free list on departure.
@@ -534,9 +441,9 @@ class ArrayShard:
       ``_mconf`` — the memoized tagged-slowdown vectors, refreshed for
       all dirty machines at once through :mod:`repro.core.batch`.
 
-    Per app this costs ~16 B of pooled numeric state plus two float64
-    matrix cells and one dict entry — versus a profile object, a dict
-    entry and two array cells per app in the object layout — which is
+    Per app this costs ~16 B of pooled numeric state plus one float64
+    matrix cell and one dict entry — versus a profile object, a dict
+    entry and one array cell per app in the object layout — which is
     what lets one process hold 1M registered apps.
 
     Bit-identity: arrivals/departures run the *same*
@@ -585,10 +492,8 @@ class ArrayShard:
         self._next_slot = 0
         self._plen = np.zeros(n, dtype=np.int64)
         self._pcomm = np.zeros((n, self._COL_CAP))
-        self._pcomp = np.zeros((n, self._COL_CAP))
         if n:
             self._pcomm[:, 0] = 1.0
-            self._pcomp[:, 0] = 1.0
         self._mcomp = np.ones(n)
         self._mcomm = np.ones(n)
         self._mconf = np.full(n, int(Confidence.CALIBRATED), dtype=np.int64)
@@ -623,14 +528,12 @@ class ArrayShard:
         return slot
 
     def _grow_cols(self, needed: int) -> None:
-        cols = self._pcomm.shape[1]
+        old = self._pcomm
+        cols = old.shape[1]
         while cols < needed:
             cols *= 2
-        for attr in ("_pcomm", "_pcomp"):
-            old = getattr(self, attr)
-            grown = np.zeros((old.shape[0], cols))
-            grown[:, : old.shape[1]] = old
-            setattr(self, attr, grown)
+        self._pcomm = np.zeros((old.shape[0], cols))
+        self._pcomm[:, : old.shape[1]] = old
 
     # -- event stream ---------------------------------------------------------
 
@@ -668,15 +571,13 @@ class ArrayShard:
         if name in slots:
             raise ModelError(f"application {name!r} is already registered")
         p = int(self._plen[i])
-        # Compute both updates from the row views *before* any capacity
-        # growth — growth reallocates the matrices and would orphan them.
+        # Compute the update from the row view *before* any capacity
+        # growth — growth reallocates the matrix and would orphan it.
         new_comm = add_application(self._pcomm[i, : p + 1], frac)
-        new_comp = add_application(self._pcomp[i, : p + 1], 1.0 - frac)
         if p + 2 > self._pcomm.shape[1]:
             self._grow_cols(p + 2)
         slots[name] = self._alloc_slot(name, frac, size)
         self._pcomm[i, : p + 2] = new_comm
-        self._pcomp[i, : p + 2] = new_comp
         self._plen[i] = p + 1
 
     def _depart(self, i: int, name: str) -> None:
@@ -688,16 +589,13 @@ class ArrayShard:
         frac = float(self._frac[slot])
         try:
             new_comm = remove_application(self._pcomm[i, : p + 1], frac)
-            new_comp = remove_application(self._pcomp[i, : p + 1], 1.0 - frac)
         except ModelError:
             # Deconvolution ill-conditioned — the O(p²) rebuild, from
             # the remaining fractions in registration order.
             fractions = [float(self._frac[s]) for s in slots.values()]
             new_comm = overlap_distribution(fractions)
-            new_comp = overlap_distribution([1.0 - f for f in fractions])
             self.rebuilds += 1
         self._pcomm[i, :p] = new_comm
-        self._pcomp[i, :p] = new_comp
         self._plen[i] = p - 1
         self._names[slot] = None
         self._free.append(slot)
@@ -731,7 +629,7 @@ class ArrayShard:
     def _comm_calibrated(self, i: int, p: int) -> tuple[float, Confidence]:
         self._vcomp = self._extended(self._vcomp, self.delay_comp, p)
         self._vcomm = self._extended(self._vcomm, self.delay_comm, p)
-        comp_tail = self._pcomp[i, 1 : p + 1]
+        comp_tail = comp_distribution(self._pcomm[i, : p + 1])[1:]
         comm_tail = self._pcomm[i, 1 : p + 1]
         # Zero-mass levels contribute an exact +0.0 product, which the
         # sequential fold absorbs bit-neutrally — same accumulation
@@ -751,9 +649,10 @@ class ArrayShard:
         bucket = sized.select_bucket(size)
         vec = self._extended(self._vsized.get(bucket, np.zeros(1)), sized.tables[bucket], p)
         self._vsized[bucket] = vec
-        # The copy keeps np.dot's operand a fresh contiguous allocation,
-        # exactly like the manager's standalone distribution array.
-        cpu_term = float(np.dot(np.arange(p + 1), self._pcomp[i, : p + 1].copy()))
+        # comp_distribution returns a fresh contiguous array, exactly
+        # like the manager's, so np.dot takes the same code path.
+        pcomp = comp_distribution(self._pcomm[i, : p + 1])
+        cpu_term = float(np.dot(np.arange(p + 1), pcomp))
         comm_tail = self._pcomm[i, 1 : p + 1]
         comm_term = sequential_fold(comm_tail * vec[1 : p + 1])
         value = 1.0 + cpu_term + comm_term
@@ -828,11 +727,6 @@ class ArrayShard:
             )
         return out
 
-    @property
-    def managers(self) -> _MachineViews:
-        """Per-machine :class:`SlowdownManager`-compatible views."""
-        return _MachineViews(self)
-
     def population(self) -> int:
         """Total applications registered across this shard's machines."""
         return int(self._plen.sum())
@@ -854,7 +748,6 @@ class ArrayShard:
                 )
             p = int(self._plen[i])
             h.update(self._pcomm[i, : p + 1].tobytes())
-            h.update(self._pcomp[i, : p + 1].tobytes())
         return h.hexdigest()
 
     def write_snapshot(self, fd: int) -> int:
@@ -862,7 +755,7 @@ class ArrayShard:
 
         The snapshot is everything :meth:`state_hash` covers plus what
         later events read: ``_plen``, the live ``[:, :max_p + 1]``
-        columns of both distribution matrices, and per machine row its
+        columns of the ``pcomm`` matrix, and per machine row its
         app names in insertion order with their fraction and size.
         Slot numbers, free lists, column capacity and the memoized
         slowdowns are not state — :meth:`load_snapshot` rebuilds them.
@@ -878,9 +771,8 @@ class ArrayShard:
         out.write(_SNAPSHOT_HEADER.pack(n, cols, apps, self.applied))
         out.write(self._plen.tobytes())
         rows = _snapshot_rows(cols)
-        for matrix in (self._pcomm, self._pcomp):
-            for lo in range(0, n, rows):
-                out.write(matrix[lo : lo + rows, :cols].tobytes())
+        for lo in range(0, n, rows):
+            out.write(self._pcomm[lo : lo + rows, :cols].tobytes())
         for slots in self._slots:
             if not slots:
                 continue
@@ -917,12 +809,10 @@ class ArrayShard:
         while capacity < cols + 1:
             capacity *= 2
         shard._pcomm = np.zeros((n, capacity))
-        shard._pcomp = np.zeros((n, capacity))
         rows = _snapshot_rows(cols)
-        for matrix in (shard._pcomm, shard._pcomp):
-            for lo in range(0, n, rows):
-                hi = min(n, lo + rows)
-                matrix[lo:hi, :cols] = src.array("<f8", (hi - lo) * cols).reshape(-1, cols)
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            shard._pcomm[lo:hi, :cols] = src.array("<f8", (hi - lo) * cols).reshape(-1, cols)
         shard._plen = plen.astype(np.int64)
         slots_cap = max(shard._SLOT_CAP, apps)
         shard._frac = np.zeros(slots_cap)

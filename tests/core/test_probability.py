@@ -86,7 +86,7 @@ class TestOverlapDistribution:
     def test_pcomp_is_reverse_of_pcomm(self):
         """Two-phase apps: #comp = p - #comm exactly."""
         pcomm, pcomp = comm_comp_distributions([0.2, 0.5, 0.9])
-        assert pcomp == pytest.approx(pcomm[::-1])
+        assert pcomp.tobytes() == pcomm[::-1].tobytes()
 
 
 class TestIncrementalUpdates:

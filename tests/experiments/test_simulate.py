@@ -194,14 +194,40 @@ class TestSweepLanes:
             assert res.backend == "vector" and res.fallback_reason is None
             assert res.values == solo.values
 
-    def test_sweep_env_disable_is_bit_identical(self, monkeypatch):
-        from repro.experiments.simulate import SWEEP_ENV
+    def test_fig5_json_matches_per_point_path(self, tmp_path, monkeypatch):
+        """A figure run through sweep lanes writes the same experiment
+        JSON as one ``simulate()`` call per point (modulo the wall-clock
+        stamp)."""
+        import importlib
+        import json
 
-        points = _sweep_points()
-        lanes = simulate(sweep=points, reps=2, seed=4, backend="vector")
-        monkeypatch.setenv(SWEEP_ENV, "0")
-        loop = simulate(sweep=points, reps=2, seed=4, backend="vector")
-        assert [r.values for r in lanes] == [r.values for r in loop]
+        from repro.experiments.cli import main
+
+        # The package re-exports the function under the module's name.
+        simulate_module = importlib.import_module("repro.experiments.simulate")
+
+        def per_point(points, **kwargs):
+            return [simulate(sp, **kwargs) for sp in points]
+
+        def strip_volatile(obj):
+            if isinstance(obj, dict):
+                return {
+                    k: strip_volatile(v) for k, v in obj.items() if k != "created_unix"
+                }
+            if isinstance(obj, list):
+                return [strip_volatile(v) for v in obj]
+            return obj
+
+        assert main(["fig5", "--quick", "--outdir", str(tmp_path / "lanes")]) == 0
+        monkeypatch.setattr(simulate_module, "_simulate_sweep", per_point)
+        assert main(["fig5", "--quick", "--outdir", str(tmp_path / "points")]) == 0
+        written = sorted((tmp_path / "lanes").glob("*.json"))
+        assert written
+        for lanes_file in written:
+            points_file = tmp_path / "points" / lanes_file.name
+            lanes = strip_volatile(json.loads(lanes_file.read_text()))
+            points = strip_volatile(json.loads(points_file.read_text()))
+            assert lanes == points, lanes_file.name
 
     def test_spec_and_sweep_mutually_exclusive(self):
         with pytest.raises(ValueError):

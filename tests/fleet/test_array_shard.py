@@ -161,32 +161,6 @@ class TestDifferentialStateHash:
         assert result.count == len(events)
         assert rebuilt.state_hash() == oracle.state_hash()
 
-    def test_managers_view_compat(self):
-        array = ArrayShard(0, range(MACHINES), *TABLE_SETS["calibrated"])
-        oracle = Shard(0, range(MACHINES), *TABLE_SETS["calibrated"])
-        for event in churn_stream(13):
-            array.apply(event)
-            oracle.apply(event)
-        machine = next(m for m in range(MACHINES) if len(oracle.managers[m]))
-        name = next(iter(oracle.managers[machine].snapshot()))
-        assert name in array.managers[machine]
-        assert len(array.managers[machine]) == len(oracle.managers[machine])
-        assert array.managers[machine].snapshot() == oracle.managers[machine].snapshot()
-        assert (
-            array.managers[machine].pcomm.tobytes()
-            == oracle.managers[machine].pcomm.tobytes()
-        )
-        # Out-of-band departure (the fleet experiment's desync probe)
-        # must mutate state without advancing the dirty set or applied.
-        applied = array.applied
-        array.managers[machine].depart(name)
-        oracle.managers[machine].depart(name)
-        assert array.applied == applied
-        assert array.state_hash() == oracle.state_hash()
-        assert array.managers.get(10**9) is None
-        with pytest.raises(KeyError):
-            array.managers[10**9]
-
 
 EVENT_VALUES = st.one_of(
     st.integers(min_value=-5, max_value=5),

@@ -238,7 +238,7 @@ class TestQuarantine:
         name = f"victim-{machine}"
         service.apply(arrive(name, machine))
         sid = service.shard_of(machine)
-        service.shards[sid].managers[machine].depart(name)
+        service.shards[sid].apply({"op": "depart", "app": name, "machine": machine})
         service.apply({"op": "depart", "app": name})
         return sid
 
@@ -310,7 +310,10 @@ class TestQuarantine:
         sid = self._desync(service)
         clock.advance(5.0)
         assert service.recover(sid)
-        assert "keep" in service.shards[sid].managers[0]
+        oracle = make_service()
+        oracle.apply(arrive("keep", 0))
+        assert service.shards[sid].population() == 1
+        assert service.shards[sid].state_hash() == oracle.shards[sid].state_hash()
 
 
 class SteppingClock(FakeClock):
@@ -337,7 +340,7 @@ class TestRecoveryVerification:
         name = f"victim-{machine}"
         service.apply(arrive(name, machine))
         sid = service.shard_of(machine)
-        service.shards[sid].managers[machine].depart(name)
+        service.shards[sid].apply({"op": "depart", "app": name, "machine": machine})
         service.apply({"op": "depart", "app": name})
         return sid
 
@@ -460,7 +463,7 @@ class TestObsCounters:
             service.apply({"op": "depart", "app": "ghost"})  # rejected
             for _ in range(15):
                 service.query("t", QUERY)  # 10 served + 5 shed
-            service.shards[0].managers[0].depart("a0")
+            service.shards[0].apply({"op": "depart", "app": "a0", "machine": 0})
             service.apply({"op": "depart", "app": "a0"})  # quarantines
             clock.advance(5.0)
             service.recover(0)

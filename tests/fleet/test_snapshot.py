@@ -14,12 +14,15 @@ bit-identical after every fault kind.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
 import signal
+import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,6 +78,33 @@ def shard(sid: int) -> ArrayShard:
     return ArrayShard(sid, range(sid, MACHINES, SHARDS))
 
 
+def as_rsnap001(data: bytes) -> bytes:
+    """Re-encode an ``RSNAP002`` snapshot stream in the ``RSNAP001`` layout.
+
+    ``RSNAP001`` carried a second matrix, each row's ``pcomp`` (the
+    reversed ``pcomm`` prefix), right after the ``pcomm`` matrix. The
+    digest trailer is recomputed, so only the magic and the layout are
+    stale: a loader that refuses it refuses it for its version.
+    """
+    header = struct.Struct("<4q")
+    n, cols, _, _ = header.unpack_from(data, 8)
+    at = 8 + header.size
+    plen = np.frombuffer(data, "<i8", n, at)
+    at += 8 * n
+    pcomm = np.frombuffer(data, "<f8", n * cols, at).reshape(n, cols)
+    at += 8 * n * cols
+    pcomp = np.zeros((n, cols))
+    for i, p in enumerate(plen.tolist()):
+        pcomp[i, : p + 1] = pcomm[i, p::-1]
+    body = b"RSNAP001" + data[8:at] + pcomp.tobytes() + data[at:-16]
+    return body + hashlib.blake2b(body, digest_size=16).digest()
+
+
+def rewrite(fd: int, data: bytes) -> None:
+    os.ftruncate(fd, 0)
+    os.pwrite(fd, data, 0)
+
+
 @pytest.fixture
 def slot():
     s = SnapshotSlot()
@@ -123,6 +153,15 @@ class TestSnapshotStream:
             os.pwrite(slot.fd, data[:cut], 0)
             with pytest.raises(ModelError):
                 original.load_snapshot(slot.fd)
+
+    def test_rsnap001_stream_is_refused(self, logged, slot):
+        path, _ = logged
+        original = shard(1)
+        replay_stream(original, EventLog.replay(path))
+        size = original.write_snapshot(slot.fd)
+        rewrite(slot.fd, as_rsnap001(os.pread(slot.fd, size, 0)))
+        with pytest.raises(ModelError, match="not a shard snapshot"):
+            original.load_snapshot(slot.fd)
 
     def test_snapshot_of_another_slice_is_refused(self, logged, slot):
         path, _ = logged
@@ -286,6 +325,23 @@ class TestBoundedRespawn:
             os.ftruncate(fd, os.fstat(fd).st_size - 7)
             kill_and_recover(service, 0)
             assert service.counters()["snapshot_rejects"] == 1
+            assert service.state_hash() == oracle_hash()
+
+    def test_rsnap001_slot_is_rejected_then_fully_replayed(self, tmp_path):
+        with make_supervised(tmp_path) as service:
+            for event in feed():
+                service.apply(event)
+            settle_snapshot(service, 2)
+            snapshot = service.worker_snapshot(2)
+            fd = service._slots[2][snapshot.slot].fd
+            rewrite(fd, as_rsnap001(os.pread(fd, os.fstat(fd).st_size, 0)))
+            owned = service._stream_count[2]
+            kill_and_recover(service, 2)
+            counters = service.counters()
+            assert counters["snapshot_rejects"] == 1
+            assert counters["snapshot_loads"] == 0
+            assert counters["replay_events"] == owned  # the full fallback
+            assert counters["recovery_mismatches"] == 0
             assert service.state_hash() == oracle_hash()
 
     def test_two_pings_in_flight_never_touch_the_adopted_slot(self, tmp_path):
